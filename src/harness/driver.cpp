@@ -180,6 +180,64 @@ void acquire_release_loop(AnyRwLock& lock, const WorkloadConfig& cfg,
   g_sink.fetch_add(sink, std::memory_order_relaxed);
 }
 
+// Bind the calling thread to one host CPU; silently a no-op where affinity
+// is not permitted (containers).
+void pin_to_cpu(std::uint32_t cpu) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  CPU_SET(cpu, &set);
+  (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+}
+
+// Scheduling scope of a simulated run.  Virtual time assumes the host runs
+// the sim workers round-robin on ONE CPU (EXPERIMENTS.md "model
+// artifacts"): spread over several CPUs they overlap in wall time, and the
+// interleaving, hence every sim result, depends on the host's CPU count.
+// So the thread that starts a run binds itself to the CPU it is on and
+// joins SCHED_RR, and the workers it spawns inherit both.  Under the
+// default CFS policy sched_yield() is nearly a no-op, so one worker could
+// run its whole loop alone and hide all concurrency from the model;
+// SCHED_RR's yield is a true round-robin rotation.  The spawning thread
+// shares the rotation rather than sitting below it, where spinning workers
+// would starve it until the kernel's real-time throttling cut in.  Both
+// settings are restored on destruction; either falls back silently where
+// it is not permitted (containers).
+class SimSchedScope {
+ public:
+  explicit SimSchedScope(bool active) {
+    if (!active) return;
+    const int cpu = sched_getcpu();
+    pinned_ = cpu >= 0 && pthread_getaffinity_np(pthread_self(),
+                                                 sizeof(saved_cpus_),
+                                                 &saved_cpus_) == 0;
+    if (pinned_) pin_to_cpu(static_cast<std::uint32_t>(cpu));
+    sched_param rr{};
+    rr.sched_priority = 1;
+    rr_ = pthread_getschedparam(pthread_self(), &saved_policy_,
+                                &saved_param_) == 0 &&
+          pthread_setschedparam(pthread_self(), SCHED_RR, &rr) == 0;
+  }
+  ~SimSchedScope() {
+    if (rr_) {
+      (void)pthread_setschedparam(pthread_self(), saved_policy_,
+                                  &saved_param_);
+    }
+    if (pinned_) {
+      (void)pthread_setaffinity_np(pthread_self(), sizeof(saved_cpus_),
+                                   &saved_cpus_);
+    }
+  }
+  SimSchedScope(const SimSchedScope&) = delete;
+  SimSchedScope& operator=(const SimSchedScope&) = delete;
+
+ private:
+  cpu_set_t saved_cpus_;
+  int saved_policy_ = SCHED_OTHER;
+  sched_param saved_param_{};
+  bool pinned_ = false;
+  bool rr_ = false;
+};
+
 // Timestamp source for simulated runs: the calling thread's virtual clock.
 // Harness-side code (drains, exports) runs without a ThreadContext and falls
 // back to real time — such records are out-of-band anyway.
@@ -233,6 +291,8 @@ RunResult run_threads(AnyRwLock& lock, const WorkloadConfig& cfg,
   std::atomic<bool> go{false};
   std::atomic<std::uint32_t> warm_done{0};
   std::atomic<bool> go_measured{false};
+  // One CPU, round-robin, for this thread and every worker (see above).
+  SimSchedScope sim_sched(simulated);
 
   for (std::uint32_t w = 0; w < cfg.threads; ++w) {
     threads.emplace_back([&, w] {
@@ -248,25 +308,12 @@ RunResult run_threads(AnyRwLock& lock, const WorkloadConfig& cfg,
         // silently where affinity is not permitted (containers).
         const auto& topo = Topology::system();
         if (topo.cpu_count() > 0) {
-          const std::uint32_t cpu =
-              topo.cpu_numbers()[w % topo.cpu_count()];
-          cpu_set_t set;
-          CPU_ZERO(&set);
-          CPU_SET(cpu, &set);
-          (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
+          pin_to_cpu(topo.cpu_numbers()[w % topo.cpu_count()]);
         }
       }
       std::unique_ptr<sim::ThreadGuard> guard;
       if (simulated) {
         guard = std::make_unique<sim::ThreadGuard>(*machine, w);
-        // Virtual time only advances meaningfully if the workers genuinely
-        // interleave.  Under the default CFS policy sched_yield() is nearly
-        // a no-op, so one worker can run its whole loop alone, which hides
-        // all concurrency from the model.  SCHED_RR's yield semantics are a
-        // true round-robin rotation; fall back silently if not permitted.
-        sched_param prio{};
-        prio.sched_priority = 1;
-        (void)pthread_setschedparam(pthread_self(), SCHED_RR, &prio);
       }
       ready.fetch_add(1, std::memory_order_acq_rel);
       spin_until([&] { return go.load(std::memory_order_acquire); });

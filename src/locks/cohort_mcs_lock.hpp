@@ -385,16 +385,19 @@ class CohortMcsLock {
     // Remaining intra-domain handoffs; written only while the cohort lock
     // is held by a thread of this domain (handoff ordering publishes it).
     std::uint32_t handoffs_left = 0;
-    // Handoff counters: single writer at a time (the holder), concurrent
-    // relaxed readers (stats); std::atomic keeps them out of the simulated
-    // cost model, like LockStats.
+    // Handoff counters, relaxed; std::atomic keeps them out of the
+    // simulated cost model, like LockStats.  Not single-writer: unlock()
+    // counts a global release after making it, when the next holder from
+    // this domain may already be counting too.
     std::atomic<std::uint64_t> handoffs{0};
     std::atomic<std::uint64_t> cohort_hits{0};
     std::atomic<std::uint64_t> cross_domain{0};
   };
 
+  // An RMW, so concurrent counts are not lost (see Domain); it runs once
+  // per handoff, off the uncontended path.
   static void bump(std::atomic<std::uint64_t>& c) {
-    c.store(c.load(std::memory_order_relaxed) + 1, std::memory_order_relaxed);
+    c.fetch_add(1, std::memory_order_relaxed);
   }
 
   // Grant a local-queue successor's status flag; the park-aware exchange

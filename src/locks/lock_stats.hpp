@@ -24,6 +24,11 @@
 // relaxed ordering: single-writer means load+store increments are not lost,
 // and relaxed cross-thread reads make the aggregate approximate but
 // race-free (exact at quiescence).
+//
+// Slots live in a PerThreadSlots (locks/per_thread.hpp), so a slot exists
+// only for a thread that has counted something on this lock.  snapshot()
+// and reset() visit the existing slots only: reading a lock's stats, as
+// every telemetry tick does, never allocates.
 #pragma once
 
 #include <atomic>
@@ -268,8 +273,7 @@ class LockStats {
   // numbers.
   LockStatsSnapshot snapshot() const {
     LockStatsSnapshot total;
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      const Slot& s = slots_.slot(i);
+    slots_.for_each([&total](std::uint32_t, const Slot& s) {
       total.read_fast += s.read_fast.load(std::memory_order_relaxed);
       total.read_queued += s.read_queued.load(std::memory_order_relaxed);
       total.write_fast += s.write_fast.load(std::memory_order_relaxed);
@@ -303,7 +307,7 @@ class LockStats {
       s.timed_acquire.snapshot_into(total.timed_acquire);
       s.opt_read.snapshot_into(total.opt_read);
       s.park_wait.snapshot_into(total.park_wait);
-    }
+    });
     return total;
   }
 
@@ -311,8 +315,7 @@ class LockStats {
   // with the clearing stores).  The harness prefers baseline subtraction
   // (factory.hpp reset_stats), which needs no quiescence beyond snapshot's.
   void reset() {
-    for (std::uint32_t i = 0; i < slots_.size(); ++i) {
-      Slot& s = slots_.slot(i);
+    slots_.for_each([](std::uint32_t, Slot& s) {
       s.read_fast.store(0, std::memory_order_relaxed);
       s.read_queued.store(0, std::memory_order_relaxed);
       s.write_fast.store(0, std::memory_order_relaxed);
@@ -339,7 +342,7 @@ class LockStats {
       s.timed_acquire.reset();
       s.opt_read.reset();
       s.park_wait.reset();
-    }
+    });
   }
 
  private:

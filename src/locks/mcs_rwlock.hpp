@@ -61,8 +61,8 @@ class McsRwLock {
     }
     // Mirror start_write's empty-queue arm; the registration dance settles
     // any race with a departing last reader.
-    next_writer_.store(&I, std::memory_order_release);
-    if (reader_count_.load(std::memory_order_acquire) == 0) {
+    next_writer_.store(&I, std::memory_order_seq_cst);  // Dekker: end_read
+    if (reader_count_.load(std::memory_order_seq_cst) == 0) {
       QNode* w = next_writer_.exchange(nullptr, std::memory_order_acq_rel);
       if (w == &I) {
         I.state.fetch_and(~kBlocked, std::memory_order_acq_rel);
@@ -197,9 +197,16 @@ class McsRwLock {
         next_writer_.store(succ, std::memory_order_release);
       }
     }
-    if (reader_count_.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+    // Dekker with the empty-queue writer in start_write/try_lock: the
+    // writer stores next_writer_ then loads reader_count_; the last reader
+    // decrements reader_count_ then exchanges next_writer_.  Under
+    // release/acquire both may miss each other (the writer's store can sit
+    // in its store buffer past its load, even on x86), so the writer reads
+    // a stale nonzero count, the reader takes a null next_writer_, and the
+    // writer waits forever.  All four are seq_cst.
+    if (reader_count_.fetch_sub(1, std::memory_order_seq_cst) == 1) {
       // Last reader out unblocks the next writer, if one registered.
-      QNode* w = next_writer_.exchange(nullptr, std::memory_order_acq_rel);
+      QNode* w = next_writer_.exchange(nullptr, std::memory_order_seq_cst);
       if (w != nullptr) {
         w->state.fetch_and(~kBlocked, std::memory_order_acq_rel);
       }
@@ -212,8 +219,9 @@ class McsRwLock {
     I.state.store(kBlocked | kSuccNone, std::memory_order_relaxed);
     QNode* pred = tail_.exchange(&I, std::memory_order_acq_rel);
     if (pred == nullptr) {
-      next_writer_.store(&I, std::memory_order_release);
-      if (reader_count_.load(std::memory_order_acquire) == 0) {
+      // Dekker with the last reader out (end_read).
+      next_writer_.store(&I, std::memory_order_seq_cst);
+      if (reader_count_.load(std::memory_order_seq_cst) == 0) {
         QNode* w = next_writer_.exchange(nullptr, std::memory_order_acq_rel);
         if (w == &I) {
           I.state.fetch_and(~kBlocked, std::memory_order_acq_rel);

@@ -213,11 +213,7 @@ class WaitQueue {
               &park_outcome);
         }
       }
-      SpinWait w;
-      for (unsigned i = 0; i < 2 * SpinWait::kDefaultSpinLimit; ++i) {
-        if (granted.load(std::memory_order_acquire) != 0) return true;
-        w.pause();
-      }
+      if (spin_for_blocking_grant()) return true;
       OLL_DCHECK(parking != nullptr);
       std::unique_lock<std::mutex> g(parking->m);
       return parking->cv.wait_until(g, deadline, [&] {
@@ -257,6 +253,24 @@ class WaitQueue {
     }
 
    private:
+    // kBlocking's optimistic spin phase.  A grant seen here was stored
+    // under parking->m, and the granter may still be inside that critical
+    // section (notify, unlock) when the flag becomes visible.  The caller
+    // may destroy this node, and the mutex with it, as soon as we return,
+    // so pass through the mutex once first: after that the granter has
+    // released it and touches the node no more.
+    bool spin_for_blocking_grant() {
+      SpinWait w;
+      for (unsigned i = 0; i < 2 * SpinWait::kDefaultSpinLimit; ++i) {
+        if (granted.load(std::memory_order_acquire) != 0) {
+          std::lock_guard<std::mutex> g(parking->m);
+          return true;
+        }
+        w.pause();
+      }
+      return false;
+    }
+
     // Block until granted (the strategy-specific half of wait()).
     void wait_granted() {
       if (strategy == WaitStrategy::kSpin) {
@@ -274,11 +288,7 @@ class WaitQueue {
       // Blocking: a short optimistic spin, then park.  `granted` is set
       // under `parking->m` by grant() so the sleep/wake handshake cannot be
       // lost.
-      SpinWait w;
-      for (unsigned i = 0; i < 2 * SpinWait::kDefaultSpinLimit; ++i) {
-        if (granted.load(std::memory_order_acquire) != 0) return;
-        w.pause();
-      }
+      if (spin_for_blocking_grant()) return;
       OLL_DCHECK(parking != nullptr);
       std::unique_lock<std::mutex> g(parking->m);
       parking->cv.wait(g, [&] {

@@ -55,7 +55,8 @@
 // mitigate this by checking the dead bit before pinning — so only a pin
 // that genuinely raced the death can delay a deregistration, and at
 // realistic tick rates (>=1ms apart) the drain is one yield at worst.
-// Census marks are wait-free.  Stats read through the registry are the
+// Census marks are wait-free once a thread's slot exists (its first
+// begin_wait allocates it).  Stats read through the registry are the
 // usual relaxed aggregate — approximate live, exact at quiescence.
 #pragma once
 
@@ -71,9 +72,8 @@
 
 #if OLL_REGISTRY
 #include <atomic>
-#include <memory>
 
-#include "platform/cache_line.hpp"
+#include "locks/per_thread.hpp"
 #include "platform/thread_id.hpp"
 #endif
 
@@ -228,14 +228,15 @@ class ScopedLockSite {
 
 class ContentionCensus {
  public:
-  // One slot per dense thread index; marks from indices >= max_threads are
-  // dropped (bound-checked), so a small census under-counts rather than
-  // corrupts.
-  explicit ContentionCensus(std::uint32_t max_threads)
-      : slots_(std::make_unique<CacheAligned<Slot>[]>(max_threads)),
-        size_(max_threads) {}
+  // One slot per dense thread index, materialised by the thread's first
+  // begin_wait (locks/per_thread.hpp); the other marks and the snapshots
+  // never allocate, so a census that was never enabled allocates nothing.
+  // Marks from indices >= max_threads are dropped (bound-checked), so a
+  // small census under-counts rather than corrupts.
+  explicit ContentionCensus(std::uint32_t max_threads) : slots_(max_threads) {}
 
-  // Worker-side marks.  All wait-free, and every one of them — not just
+  // Worker-side marks.  All wait-free, except that a thread's first
+  // begin_wait on a census allocates its slot.  Every one of them — not just
   // begin_wait — gates on the global enable word first, so the disabled
   // cost is one relaxed load of a shared read-mostly line per mark and the
   // thread's own slot is never touched.  A mark stranded by a disable
@@ -244,8 +245,8 @@ class ContentionCensus {
   void begin_wait(bool write) {
     if (!registry_census_enabled()) return;
     const std::uint32_t idx = this_thread_index();
-    if (idx >= size_) return;
-    Slot& s = slots_[idx].value;
+    if (idx >= slots_.size()) return;
+    Slot& s = slots_.slot(idx);
     s.epoch.store(registry_census_epoch(), std::memory_order_relaxed);
     s.site.store(current_lock_site(), std::memory_order_relaxed);
     s.begin_ns.store(registry_coarse_now(), std::memory_order_relaxed);
@@ -255,8 +256,9 @@ class ContentionCensus {
   void acquired(bool write) {
     if (!registry_census_enabled()) return;
     const std::uint32_t idx = this_thread_index();
-    if (idx >= size_) return;
-    Slot& s = slots_[idx].value;
+    Slot* sp = slots_.find(idx);
+    if (sp == nullptr) return;
+    Slot& s = *sp;
     // No begin_wait mark this epoch (the acquisition started before the
     // census was enabled, or the table is too small): don't fabricate a
     // hold with no recorded start.
@@ -284,8 +286,9 @@ class ContentionCensus {
   void released() {
     if (!registry_census_enabled()) return;
     const std::uint32_t idx = this_thread_index();
-    if (idx >= size_) return;
-    Slot& s = slots_[idx].value;
+    Slot* sp = slots_.find(idx);
+    if (sp == nullptr) return;
+    Slot& s = *sp;
     const std::uint32_t st = s.state.load(std::memory_order_relaxed);
     if (st == kIdle) return;
     if (st == kHoldWrite &&
@@ -299,12 +302,12 @@ class ContentionCensus {
   // A try/timed acquisition that began a wait but failed.
   void abandoned() {
     if (!registry_census_enabled()) return;
-    const std::uint32_t idx = this_thread_index();
-    if (idx >= size_) return;
-    Slot& s = slots_[idx].value;
-    if (s.state.load(std::memory_order_relaxed) == kIdle) return;
-    s.begin_ns.store(0, std::memory_order_relaxed);
-    s.state.store(kIdle, std::memory_order_relaxed);
+    Slot* s = slots_.find(this_thread_index());
+    if (s == nullptr || s->state.load(std::memory_order_relaxed) == kIdle) {
+      return;
+    }
+    s->begin_ns.store(0, std::memory_order_relaxed);
+    s->state.store(kIdle, std::memory_order_relaxed);
   }
 
   // Aggregate the slots.  Approximate under concurrent marks (relaxed
@@ -312,9 +315,8 @@ class ContentionCensus {
   CensusSnapshot snapshot(std::uint64_t now_ns) const {
     CensusSnapshot out;
     const std::uint32_t epoch = registry_census_epoch();
-    for (std::uint32_t i = 0; i < size_; ++i) {
-      const Slot& s = slots_[i].value;
-      if (s.epoch.load(std::memory_order_relaxed) != epoch) continue;
+    slots_.for_each([&](std::uint32_t i, const Slot& s) {
+      if (s.epoch.load(std::memory_order_relaxed) != epoch) return;
       const std::uint32_t st = s.state.load(std::memory_order_relaxed);
       switch (st) {
         case kWaitRead:
@@ -345,7 +347,7 @@ class ContentionCensus {
         default:
           break;
       }
-    }
+    });
     const std::uint64_t w = writer_.load(std::memory_order_relaxed);
     if (w != kNoWriter && (w >> 32) == epoch) {
       out.write_held = true;
@@ -359,17 +361,16 @@ class ContentionCensus {
   template <typename F>
   void for_each_waiting(F&& f) const {
     const std::uint32_t epoch = registry_census_epoch();
-    for (std::uint32_t i = 0; i < size_; ++i) {
-      const Slot& s = slots_[i].value;
-      if (s.epoch.load(std::memory_order_relaxed) != epoch) continue;
+    slots_.for_each([&](std::uint32_t i, const Slot& s) {
+      if (s.epoch.load(std::memory_order_relaxed) != epoch) return;
       const std::uint32_t st = s.state.load(std::memory_order_relaxed);
-      if (st != kWaitRead && st != kWaitWrite) continue;
+      if (st != kWaitRead && st != kWaitWrite) return;
       f(i, s.site.load(std::memory_order_relaxed),
         s.begin_ns.load(std::memory_order_relaxed));
-    }
+    });
   }
 
-  std::uint32_t size() const { return size_; }
+  std::uint32_t size() const { return slots_.size(); }
 
  private:
   enum : std::uint32_t { kIdle = 0, kWaitRead, kWaitWrite, kHoldRead,
@@ -389,8 +390,7 @@ class ContentionCensus {
     return (static_cast<std::uint64_t>(epoch) << 32) | tid;
   }
 
-  std::unique_ptr<CacheAligned<Slot>[]> slots_;
-  std::uint32_t size_;
+  PerThreadSlots<Slot> slots_;
   std::atomic<std::uint64_t> writer_{kNoWriter};
 };
 

@@ -23,6 +23,13 @@
 //     sees that other threads are already using the tree
 //     (ShouldArriveAtTree, §5.1); the tree is allocated lazily on first use
 //     so uncontended C-SNZIs pay no space (§2.2).
+//   * Per-thread state (cached leaf, sticky window, arrival counters) lives
+//     in a PerThreadSlots (locks/per_thread.hpp): an instance no thread has
+//     arrived at costs a few null pointers, and each arriving thread pays
+//     for its own slot only.  That matters for FOLL/ROLL, whose reader-node
+//     pools hold hundreds of C-SNZIs of which a run touches a few.  A recycled
+//     dense index keeps its slot; thread_state() drops the predecessor's
+//     sticky state against the index epoch.
 //   * Threads are mapped onto leaves by a topology-derived LeafMap
 //     (platform/topology.hpp): SMT siblings sharing an L1 share a leaf by
 //     default, so the leaf line ping-pongs only between nearly-free
@@ -75,6 +82,7 @@
 #include <memory>
 #include <new>
 
+#include "locks/per_thread.hpp"
 #include "platform/assert.hpp"
 #include "platform/cache_line.hpp"
 #include "platform/fault.hpp"
@@ -225,7 +233,8 @@ class CSnzi {
   explicit CSnzi(const CSnziOptions& opts = {})
       : opts_(normalize(opts)),
         leaf_map_(opts_.topology, opts_.topology_mapping, opts_.leaves,
-                  opts_.leaf_shift) {
+                  opts_.leaf_shift),
+        thread_state_(opts_.max_threads) {
     use_dwcas_ = opts_.dwcas_root;
     root_.store(make_root(0, 0, true), std::memory_order_relaxed);
 #if OLL_DWCAS_CAPABLE
@@ -237,7 +246,6 @@ class CSnzi {
 
   ~CSnzi() {
     delete[] tree_storage_.load(std::memory_order_acquire);
-    delete[] thread_state_.load(std::memory_order_acquire);
   }
 
   CSnzi(const CSnzi&) = delete;
@@ -404,16 +412,14 @@ class CSnzi {
   // abandonment self-contained: the slot an abandoning thread leaves behind
   // is indistinguishable from a fresh one.
   void drain_thread_sticky() {
-    ThreadState* arr = thread_state_.load(std::memory_order_acquire);
-    if (arr == nullptr) return;
     const std::uint32_t idx = this_thread_index();
-    if (idx >= opts_.max_threads) return;
-    ThreadState& ts = arr[idx];
-    ts.epoch = ThreadRegistry::index_epoch(idx);
-    ts.leaf = nullptr;
-    ts.sticky = 0;
-    ts.window_propagations = 0;
-    ts.root_free_rearms = 0;
+    ThreadState* ts = thread_state_.find(idx);
+    if (ts == nullptr) return;
+    ts->epoch = ThreadRegistry::index_epoch(idx);
+    ts->leaf = nullptr;
+    ts->sticky = 0;
+    ts->window_propagations = 0;
+    ts->root_free_rearms = 0;
   }
 
   // --- write-upgrade support (§3.2.1) ------------------------------------
@@ -479,10 +485,7 @@ class CSnzi {
   // are in flight, exact at quiescence (see csnzi_stats.hpp).
   CSnziStatsSnapshot stats() const {
     CSnziStatsSnapshot total;
-    const ThreadState* arr = thread_state_.load(std::memory_order_acquire);
-    if (arr == nullptr) return total;
-    for (std::uint32_t i = 0; i < opts_.max_threads; ++i) {
-      const ThreadState& ts = arr[i];
+    thread_state_.for_each([&total](std::uint32_t, const ThreadState& ts) {
       total.root_reads += ts.root_reads.load(std::memory_order_relaxed);
       total.direct_arrivals +=
           ts.direct_arrivals.load(std::memory_order_relaxed);
@@ -495,7 +498,7 @@ class CSnzi {
           ts.root_propagations.load(std::memory_order_relaxed);
       total.redundant_undos +=
           ts.redundant_undos.load(std::memory_order_relaxed);
-    }
+    });
     return total;
   }
 
@@ -505,7 +508,7 @@ class CSnzi {
   // relaxed atomics so stats() may read them concurrently, same scheme as
   // locks/lock_stats.hpp).  These are plain std::atomic even in simulated
   // builds: observability must not distort the virtual-time cost model.
-  struct alignas(kFalseSharingRange) ThreadState {
+  struct ThreadState {
     Node* leaf = nullptr;
     std::uint32_t sticky = 0;
     std::uint32_t window_propagations = 0;
@@ -871,11 +874,8 @@ class CSnzi {
   }
 
   ThreadState& thread_state() {
-    ThreadState* arr = thread_state_.load(std::memory_order_acquire);
-    if (arr == nullptr) arr = ensure_thread_state();
     const std::uint32_t idx = this_thread_index();
-    OLL_CHECK(idx < opts_.max_threads);
-    ThreadState& ts = arr[idx];
+    ThreadState& ts = thread_state_.slot(idx);
     // Dense indices are recycled; drop sticky state armed by a previous
     // thread that held this index (see the ThreadState comment).
     const std::uint32_t epoch = ThreadRegistry::index_epoch(idx);
@@ -887,18 +887,6 @@ class CSnzi {
       ts.root_free_rearms = 0;
     }
     return ts;
-  }
-
-  ThreadState* ensure_thread_state() {
-    ThreadState* fresh = new ThreadState[opts_.max_threads];
-    ThreadState* expected = nullptr;
-    if (thread_state_.compare_exchange_strong(expected, fresh,
-                                              std::memory_order_acq_rel,
-                                              std::memory_order_acquire)) {
-      return fresh;
-    }
-    delete[] fresh;  // another thread won the publication race
-    return expected;
   }
 
   Node* leaf_for_thread(ThreadState& ts) {
@@ -927,8 +915,8 @@ class CSnzi {
   // is a std::atomic even in simulated builds: tree publication is a
   // once-per-lock event, not a contended hot path we want to model.
   std::atomic<Node*> tree_storage_{nullptr};
-  // Lazily-allocated per-thread state array (same publication scheme).
-  std::atomic<ThreadState*> thread_state_{nullptr};
+  // Per-thread state, materialised on a thread's first arrival here.
+  PerThreadSlots<ThreadState> thread_state_;
 };
 
 }  // namespace oll

@@ -153,25 +153,37 @@ TEST(Fairness, GollHandsWholeReaderGroupOverWriter) {
   lock.lock();  // W0
   std::atomic<int> readers_in{0};
   std::atomic<bool> w1_done{false};
+  // Each waiter announces it is about to block, and the main thread waits
+  // for that before giving it time to queue: on a loaded host a new
+  // thread can take longer than the yield loop to start at all, and r2
+  // queued behind w1 instead of with r1 would deadlock r1's wait below.
+  std::atomic<int> started{0};
+  auto wait_started = [&](int n) {
+    spin_until([&] { return started.load() >= n; });
+    for (int i = 0; i < 2000; ++i) std::this_thread::yield();
+  };
   std::thread r1([&] {
+    started.fetch_add(1);
     lock.lock_shared();
     readers_in.fetch_add(1);
     spin_until([&] { return readers_in.load() >= 2 || w1_done.load(); });
     lock.unlock_shared();
   });
-  for (int i = 0; i < 2000; ++i) std::this_thread::yield();
+  wait_started(1);
   std::thread w1([&] {
+    started.fetch_add(1);
     lock.lock();
     w1_done.store(true);
     lock.unlock();
   });
-  for (int i = 0; i < 2000; ++i) std::this_thread::yield();
+  wait_started(2);
   std::thread r2([&] {
+    started.fetch_add(1);
     lock.lock_shared();  // coalesces into r1's group, ahead of w1
     readers_in.fetch_add(1);
     lock.unlock_shared();
   });
-  for (int i = 0; i < 2000; ++i) std::this_thread::yield();
+  wait_started(3);
   lock.unlock();
   r1.join();
   r2.join();

@@ -2,6 +2,8 @@
 // workload (§5.1 methodology), sim runs produce sane virtual time and
 // counters, the sweep machinery aggregates correctly, and the flag parser.
 #include <gtest/gtest.h>
+#include <pthread.h>
+#include <sched.h>
 
 #include <sstream>
 
@@ -78,6 +80,35 @@ TEST(Driver, SimModeIsDeterministicForSameSeed) {
   // scheduler perturbs; but the workload composition must be identical.
   EXPECT_EQ(a.read_acquires, b.read_acquires);
   EXPECT_EQ(a.write_acquires, b.write_acquires);
+}
+
+// Virtual time assumes the sim workers share one host CPU; the driver pins
+// them to the CPU the run started on, so a sim point must not depend on
+// how many CPUs the process may use.
+TEST(Driver, SimResultIndependentOfHostCpuCount) {
+  WorkloadConfig cfg;
+  cfg.threads = 8;
+  cfg.read_pct = 100;  // a fig5a point
+  cfg.acquires_per_thread = 1000;
+  const RunResult all_cpus = run_workload(LockKind::kGoll, cfg, Mode::kSim);
+
+  cpu_set_t saved;
+  ASSERT_EQ(pthread_getaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(sched_getcpu(), &one);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(one), &one), 0);
+  const RunResult one_cpu = run_workload(LockKind::kGoll, cfg, Mode::kSim);
+  ASSERT_EQ(pthread_setaffinity_np(pthread_self(), sizeof(saved), &saved), 0);
+
+  EXPECT_EQ(all_cpus.seconds, one_cpu.seconds);
+  EXPECT_EQ(all_cpus.total_acquires, one_cpu.total_acquires);
+  EXPECT_EQ(all_cpus.counters.loads, one_cpu.counters.loads);
+  EXPECT_EQ(all_cpus.counters.rmws, one_cpu.counters.rmws);
+  EXPECT_EQ(all_cpus.counters.onchip_transfers,
+            one_cpu.counters.onchip_transfers);
+  EXPECT_EQ(all_cpus.lock_stats.csnzi.tree_arrivals,
+            one_cpu.lock_stats.csnzi.tree_arrivals);
 }
 
 TEST(Driver, SimUsesProvidedMachine) {

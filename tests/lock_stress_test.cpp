@@ -5,14 +5,21 @@
 // CAS-failure model (weak CAS failing spuriously must never break them).
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cctype>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <string>
+#include <thread>
 #include <tuple>
+#include <vector>
 
 #include "core/factory.hpp"
 #include "harness/driver.hpp"
 #include "locks/goll_lock.hpp"
+#include "locks/mcs_rwlock.hpp"
 #include "platform/thread_id.hpp"
 #include "platform/topology.hpp"
 #include "sim/context.hpp"
@@ -25,6 +32,66 @@ namespace {
 
 using test::ExclusionChecker;
 using test::run_mixed_workload;
+
+// MCS-RW lost wakeup: a writer that finds the queue empty registers in
+// next_writer_ and then checks reader_count_, while the last reader out
+// decrements reader_count_ and then takes next_writer_.  With
+// release/acquire orders both could miss each other (the writer's store
+// waiting in its store buffer past its load, which x86 allows), and the
+// writer spun forever.  Readers and writers with empty critical sections
+// hit that window within a few thousand operations on a multi-core host,
+// so this runs them for a fixed time and fails on a stall.  A stalled
+// thread cannot be joined, so the stall ends the process.
+void mcs_rw_liveness(int readers, int writers, std::chrono::milliseconds run) {
+  McsRwLock<> lock;
+  std::atomic<bool> stop{false};
+  std::atomic<std::uint64_t> ops{0};
+  std::atomic<int> finished{0};
+  std::vector<std::thread> threads;
+  for (int i = 0; i < readers + writers; ++i) {
+    const bool writer = i >= readers;
+    threads.emplace_back([&, writer] {
+      while (!stop.load(std::memory_order_relaxed)) {
+        if (writer) {
+          lock.lock();
+          lock.unlock();
+        } else {
+          lock.lock_shared();
+          lock.unlock_shared();
+        }
+        ops.fetch_add(1, std::memory_order_relaxed);
+      }
+      finished.fetch_add(1);
+    });
+  }
+  using Clock = std::chrono::steady_clock;
+  const auto end = Clock::now() + run;
+  auto last_progress = Clock::now();
+  std::uint64_t last_ops = 0;
+  while (finished.load() != readers + writers) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    if (Clock::now() >= end) stop.store(true, std::memory_order_relaxed);
+    const std::uint64_t now_ops = ops.load(std::memory_order_relaxed);
+    if (now_ops != last_ops) {
+      last_ops = now_ops;
+      last_progress = Clock::now();
+    } else if (Clock::now() - last_progress > std::chrono::seconds(10)) {
+      std::fprintf(stderr,
+                   "MCS-RW stalled for 10 s after %llu ops (%d readers, %d "
+                   "writers): lost writer wakeup\n",
+                   static_cast<unsigned long long>(now_ops), readers,
+                   writers);
+      std::_Exit(1);
+    }
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_GT(ops.load(), 0u);
+}
+
+TEST(McsRwLiveness, LastReaderAndEmptyQueueWriterNeverMissEachOther) {
+  mcs_rw_liveness(1, 1, std::chrono::milliseconds(1000));
+  mcs_rw_liveness(2, 1, std::chrono::milliseconds(1000));
+}
 
 using StressParam = std::tuple<LockKind, unsigned /*threads*/,
                                unsigned /*read_pct*/>;

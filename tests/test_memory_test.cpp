@@ -1,14 +1,21 @@
 // Tests for the TestMemory fuzzing policy and the PerThreadSlots container.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <cstdint>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
 
+#include "alloc_counter.hpp"
+#include "locks/lock_stats.hpp"
 #include "locks/per_thread.hpp"
+#include "platform/lock_registry.hpp"
 #include "platform/test_memory.hpp"
 #include "platform/thread_id.hpp"
+#include "snzi/csnzi.hpp"
 
 namespace oll {
 namespace {
@@ -104,11 +111,159 @@ TEST(PerThreadSlots, RespectsIndexOverride) {
 }
 
 TEST(PerThreadSlots, SlotsAreCacheLineSeparated) {
+  // Slots are separate allocations: each starts a false-sharing range of
+  // its own, and no two overlap.
   PerThreadSlots<char> slots(4);
-  const auto delta = reinterpret_cast<std::uintptr_t>(&slots.slot(1)) -
-                     reinterpret_cast<std::uintptr_t>(&slots.slot(0));
-  EXPECT_GE(delta, kFalseSharingRange);
+  std::vector<std::uintptr_t> starts;
+  for (std::uint32_t i = 0; i < 4; ++i) {
+    const auto a = reinterpret_cast<std::uintptr_t>(&slots.slot(i));
+    EXPECT_EQ(a % kFalseSharingRange, 0u) << "slot " << i;
+    starts.push_back(a);
+  }
+  for (std::size_t i = 0; i < starts.size(); ++i) {
+    for (std::size_t j = i + 1; j < starts.size(); ++j) {
+      const std::uintptr_t lo = std::min(starts[i], starts[j]);
+      const std::uintptr_t hi = std::max(starts[i], starts[j]);
+      EXPECT_GE(hi - lo, kFalseSharingRange) << "slots " << i << ", " << j;
+    }
+  }
 }
+
+TEST(PerThreadSlots, UntouchedSlotIsAbsent) {
+  PerThreadSlots<int> slots(8);
+  for (std::uint32_t i = 0; i < 8; ++i) EXPECT_EQ(slots.find(i), nullptr);
+  EXPECT_EQ(slots.find(8), nullptr);  // out of range is absent, not fatal
+  int& s3 = slots.slot(3);
+  EXPECT_EQ(slots.find(3), &s3);
+  for (std::uint32_t i = 0; i < 8; ++i) {
+    if (i != 3) {
+      EXPECT_EQ(slots.find(i), nullptr) << "slot " << i;
+    }
+  }
+  int visited = 0;
+  slots.for_each([&](std::uint32_t i, int&) {
+    EXPECT_EQ(i, 3u);
+    ++visited;
+  });
+  EXPECT_EQ(visited, 1);
+}
+
+TEST(PerThreadSlots, UntouchedContainerAllocatesNothing) {
+  const std::uint64_t before = test::heap_allocations();
+  {
+    PerThreadSlots<int> slots(512);
+    EXPECT_EQ(slots.find(0), nullptr);
+    slots.for_each([](std::uint32_t, int&) { ADD_FAILURE(); });
+  }
+  EXPECT_EQ(test::heap_allocations(), before);
+}
+
+TEST(PerThreadSlots, RacingLocalAndSlotPublishOneSlot) {
+  // The owner's first local() and another thread's slot(i) for the same
+  // index race to publish; both must end up with the same, single slot.
+  // Index 1 has its pointer in the container; index 5 is in the table, so
+  // fresh containers each round also race the table publication.
+  for (const std::uint32_t idx : {1u, 5u}) {
+    for (int round = 0; round < 200; ++round) {
+      PerThreadSlots<std::uint64_t> slots(16);
+      std::atomic<int> ready{0};
+      std::uint64_t* by_owner = nullptr;
+      std::uint64_t* by_other = nullptr;
+      std::thread owner([&] {
+        ScopedThreadIndex pin(idx);
+        ready.fetch_add(1);
+        while (ready.load() != 2) std::this_thread::yield();
+        by_owner = &slots.local();
+      });
+      std::thread other([&] {
+        ready.fetch_add(1);
+        while (ready.load() != 2) std::this_thread::yield();
+        by_other = &slots.slot(idx);
+      });
+      owner.join();
+      other.join();
+      ASSERT_EQ(by_owner, by_other) << "index " << idx << " round " << round;
+      int present = 0;
+      slots.for_each([&](std::uint32_t, std::uint64_t&) { ++present; });
+      ASSERT_EQ(present, 1) << "index " << idx << " round " << round;
+    }
+  }
+}
+
+TEST(PerThreadSlots, RecycledIndexKeepsSlot) {
+  PerThreadSlots<int> slots(16);
+  int* first = nullptr;
+  std::thread([&] {
+    ScopedThreadIndex idx(7);
+    first = &slots.local();
+    *first = 42;
+  }).join();
+  std::thread([&] {
+    ScopedThreadIndex idx(7);  // a new owner of the same dense index
+    EXPECT_EQ(&slots.local(), first);
+    EXPECT_EQ(slots.local(), 42);  // the container does not reset slots
+  }).join();
+}
+
+TEST(PerThreadSlots, CSnziDropsStickyStateOfRecycledIndex) {
+  // The slot survives recycling, so the C-SNZI itself must reset the
+  // inherited sticky window against the index epoch: the successor's first
+  // arrival re-reads the root.
+  CSnziOptions o;
+  o.root_cas_fail_threshold = 0;  // always arrive through the tree
+  o.sticky_arrivals = 8;
+  o.sticky_decay_propagations = 8;
+  CSnzi<RealMemory> c(o);
+  auto pair = [&c] {
+    ScopedThreadIndex idx(5);
+    auto t = c.arrive();
+    ASSERT_TRUE(t.arrived());
+    EXPECT_TRUE(c.depart(t));
+  };
+  std::thread(pair).join();  // arms an 8-wide window for index 5
+  const std::uint64_t reads_before = c.stats().root_reads;
+  std::thread(pair).join();
+  EXPECT_EQ(c.stats().root_reads, reads_before + 1);
+}
+
+TEST(PerThreadSlots, StatsReadsNeverMaterialiseSlots) {
+  LockStats stats(64);
+  std::uint64_t before = test::heap_allocations();
+  EXPECT_EQ(stats.snapshot().reads(), 0u);
+  stats.reset();
+  EXPECT_EQ(test::heap_allocations(), before);
+  {
+    ScopedThreadIndex idx(9);
+    stats.count_read_fast();  // materialises index 9 only
+  }
+  before = test::heap_allocations();
+  EXPECT_EQ(stats.snapshot().read_fast, 1u);
+  stats.reset();
+  EXPECT_EQ(stats.snapshot().read_fast, 0u);
+  EXPECT_EQ(test::heap_allocations(), before);
+}
+
+#if OLL_REGISTRY
+TEST(PerThreadSlots, CensusReadsNeverMaterialiseSlots) {
+  ContentionCensus census(64);
+  registry_census_enable();
+  const std::uint64_t before = test::heap_allocations();
+  const CensusSnapshot snap = census.snapshot(0);
+  census.for_each_waiting(
+      [](std::uint32_t, std::uint32_t, std::uint64_t) { ADD_FAILURE(); });
+  // Marks other than begin_wait find no slot and return.
+  census.acquired(false);
+  census.released();
+  census.abandoned();
+  EXPECT_EQ(test::heap_allocations(), before);
+  EXPECT_EQ(snap.waiting_readers + snap.holding_readers, 0u);
+  census.begin_wait(false);  // the first real mark materialises the slot
+  EXPECT_GT(test::heap_allocations(), before);
+  EXPECT_EQ(census.snapshot(0).waiting_readers, 1u);
+  census.abandoned();
+  registry_census_disable();
+}
+#endif
 
 }  // namespace
 }  // namespace oll
