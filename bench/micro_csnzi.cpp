@@ -5,6 +5,8 @@
 #include <benchmark/benchmark.h>
 
 #include "platform/memory.hpp"
+#include "platform/thread_id.hpp"
+#include "platform/topology.hpp"
 #include "snzi/csnzi.hpp"
 #include "snzi/orig_snzi.hpp"
 
@@ -185,6 +187,43 @@ BENCHMARK(BM_ArriveDepart_Contended_StickyOff)
     ->Threads(2)
     ->Threads(4)
     ->Threads(8);
+
+// The adaptive policy's two outcomes, pinned by synthetic four-CPU shapes so
+// both are measured on any host.  shared:0 has no SMT, so every leaf is
+// private and arrivals stay at the root (tree/op reads 0); shared:1 pairs
+// CPUs on each leaf, and contended arrivals move to the tree once they lose
+// the root CAS.  Worker t runs as thread index t, i.e. on synthetic cpu t.
+// casfail/op and tree/op are the per-layer evidence for the topology rule.
+void BM_ArriveDepart_AdaptiveTopology(benchmark::State& state) {
+  static const oll::Topology private_leaves =
+      oll::Topology::synthetic(4, 1, 4, 4);
+  static const oll::Topology shared_leaves =
+      oll::Topology::synthetic(4, 2, 4, 4);
+  static CSnzi<>* c = nullptr;
+  oll::ScopedThreadIndex idx(static_cast<std::uint32_t>(state.thread_index()));
+  if (state.thread_index() == 0) {
+    CSnziOptions o;
+    o.topology = state.range(0) != 0 ? &shared_leaves : &private_leaves;
+    c = new CSnzi<>(o);
+  }
+  for (auto _ : state) {
+    auto t = c->arrive();
+    benchmark::DoNotOptimize(t);
+    c->depart(t);
+  }
+  if (state.thread_index() == 0) {
+    report_arrival_mix(state, c->stats());
+    delete c;
+    c = nullptr;
+  }
+}
+BENCHMARK(BM_ArriveDepart_AdaptiveTopology)
+    ->ArgName("shared")
+    ->Arg(0)
+    ->Arg(1)
+    ->Threads(1)
+    ->Threads(2)
+    ->Threads(4);
 
 // Saturated-leaf tree arrivals (adaptive, threshold 0, one shared leaf kept
 // hot by a standing arrival): with the sticky window armed the steady state

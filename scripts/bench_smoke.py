@@ -136,10 +136,14 @@ MICRO_FILTERS = {
     "micro_csnzi": ("BM_ArriveDepart_Root|BM_ArriveDepart_Adaptive$|"
                     "BM_ArriveDepart_Contended/threads:8$|"
                     "BM_ArriveDepart_Contended_StickyOff/threads:8$|"
-                    "BM_TreeArrive_SaturatedLeaf"),
+                    "BM_TreeArrive_SaturatedLeaf|"
+                    "BM_ArriveDepart_AdaptiveTopology"),
     "micro_uncontended": ("BM_Read_(GOLL|FOLL|ROLL)|"
                           "BM_Write_(GOLL|FOLL|ROLL)|BM_OptRead_"),
 }
+# Per-op counters a micro reports next to its ns/op (C-SNZI arrival mix),
+# recorded as informational "<metric>.<counter>" entries.
+MICRO_COUNTERS = ("casfail/op", "tree/op")
 
 
 def run(cmd):
@@ -309,6 +313,9 @@ def collect_micro(build_dir, name, bench_filter):
         if b.get("run_type") == "aggregate":
             continue
         metrics[f"{name}.{b['name']}"] = b["real_time"]  # ns/op
+        for counter in MICRO_COUNTERS:
+            if counter in b:
+                metrics[f"{name}.{b['name']}.{counter}"] = b[counter]
     return metrics
 
 

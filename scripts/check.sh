@@ -157,7 +157,7 @@ echo "==> tsan: chaos-profile conformance OK"
 
 echo "==> tsan: fault_fuzz smoke (fixed seeds, ~30s)"
 cmake --build build-tsan -j "${JOBS}" --target fault_fuzz
-./build-tsan/tests/fault_fuzz --locks=goll,foll,roll,bravo-goll,opt-goll \
+./build-tsan/tests/fault_fuzz --locks=goll,foll,roll,bravo-goll,opt-goll,mcs-rw \
   --profiles=cas,chaos --seeds=1,42 --read_pcts=50,95 --iters=80 \
   --stall_limit_s=120
 

@@ -283,4 +283,15 @@ LeafMap::LeafMap(const Topology* topo, LeafMapping mapping,
   }
 }
 
+bool LeafMap::private_leaves() const {
+  // Domain ids are dense, so the CPUs are spread one per domain exactly when
+  // there are as many domains as CPUs, and masking keeps distinct ids apart
+  // exactly when they all fit below the leaf count.
+  std::uint32_t domains = 0;
+  if (mapping_ == LeafMapping::kSmtCluster) domains = topo_->smt_groups();
+  if (mapping_ == LeafMapping::kLlcCluster) domains = topo_->llc_domains();
+  if (mapping_ == LeafMapping::kNumaCluster) domains = topo_->numa_nodes();
+  return domains == cpus_ && domains <= mask_ + 1;
+}
+
 }  // namespace oll

@@ -130,6 +130,14 @@ class LeafMap {
 
   LeafMapping mapping() const { return mapping_; }
 
+  // True when the mapping is placement-derived and no two CPUs of the
+  // topology land on the same leaf (e.g. kSmtCluster on a host without SMT).
+  // Such leaves never absorb another CPU's arrivals, so a tree arrival
+  // costs the root CAS plus two leaf RMWs; the C-SNZI's adaptive policy
+  // then arrives at the root only.  Always false for kStaticShift and
+  // kPerThread, which are explicit requests for a leaf layout.
+  bool private_leaves() const;
+
  private:
   const Topology* topo_ = nullptr;
   LeafMapping mapping_ = LeafMapping::kPerThread;

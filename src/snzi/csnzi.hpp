@@ -23,6 +23,23 @@
 //     sees that other threads are already using the tree
 //     (ShouldArriveAtTree, §5.1); the tree is allocated lazily on first use
 //     so uncontended C-SNZIs pay no space (§2.2).
+//   * The tree saves root traffic only when readers share a leaf, which the
+//     paper's T5440 gets from 8-way SMT.  When no two CPUs of the topology
+//     share a leaf (LeafMap::private_leaves(), e.g. SMT clustering on a host
+//     without SMT), a tree arrival still pays the root CAS and adds two leaf
+//     RMWs, and a thread that decays back to the root sees the others'
+//     tree surplus and switches straight back.  So kAdaptive resolves to
+//     kAlwaysRoot at construction: the tree is never allocated and no
+//     sticky window is armed.  The simulated T5440 keeps its tree.
+//   * Departs whose decrement has no condition never retry: a direct
+//     depart from the pointer-width root and a depart from a tree node are
+//     one fetch_sub each, and "closed with zero surplus" is read off the
+//     returned value (the same linearization point and order as a
+//     successful CAS).  A leaf's last departure at the root keeps Figure 2's CAS
+//     loop: on the simulated T5440 a fetch_sub there lifts GOLL at 95%
+//     reads to 3x the Solaris-like lock, losing the Figure 5(c) shape
+//     (tests/shape_test.cpp), and hosts with private leaves never take that
+//     path.  The 16-byte root has no fetch_sub and keeps its CAS loops.
 //   * Per-thread state (cached leaf, sticky window, arrival counters) lives
 //     in a PerThreadSlots (locks/per_thread.hpp): an instance no thread has
 //     arrived at costs a few null pointers, and each arriving thread pays
@@ -128,6 +145,10 @@ struct CSnziOptions {
   std::uint32_t root_cas_fail_threshold = 2;
   // Allocate the tree on first tree arrival instead of up front (§2.2).
   bool lazy_tree = true;
+  // kAdaptive resolves to kAlwaysRoot when the placement-derived leaf
+  // mapping gives every CPU a private leaf (LeafMap::private_leaves(); see
+  // the file comment); options() then reports kAlwaysRoot.  kAlwaysRoot,
+  // kAlwaysTree and the kPerThread/kStaticShift mappings are never changed.
   ArrivalPolicy policy = ArrivalPolicy::kAdaptive;
   // Static fallback locality: leaf index = (thread_index >> leaf_shift)
   // mod leaves.  Only used when topology_mapping resolves to kStaticShift;
@@ -236,6 +257,12 @@ class CSnzi {
                   opts_.leaf_shift),
         thread_state_(opts_.max_threads) {
     use_dwcas_ = opts_.dwcas_root;
+    // Leaves that no two CPUs share can never absorb an arrival, so the
+    // tree would only add leaf RMWs to the root CAS (see file comment).
+    if (opts_.policy == ArrivalPolicy::kAdaptive &&
+        leaf_map_.private_leaves()) {
+      opts_.policy = ArrivalPolicy::kAlwaysRoot;
+    }
     root_.store(make_root(0, 0, true), std::memory_order_relaxed);
 #if OLL_DWCAS_CAPABLE
     root16_.store(pack16(make_root(0, 0, true), 0),
@@ -712,7 +739,7 @@ class CSnzi {
     if (is_open(w)) ts.sticky = opts_.sticky_arrivals;
   }
 
-  // --- direct root arrival/departure -------------------------------------
+  // --- direct root arrival; root departure for both counters -------------
   bool root_arrive_direct() {
     RootView old = root_load(std::memory_order_acquire);
     while (true) {
@@ -722,18 +749,38 @@ class CSnzi {
     }
   }
 
+  static constexpr bool closed_empty(std::uint64_t w) noexcept {
+    return total_count(w) == 0 && !is_open(w);
+  }
+
+  // Direct departure.  The decrement has no condition, so the pointer-width
+  // root does it with one fetch_sub: the same linearization point and order
+  // as a successful CAS, and the "last departure" test reads the returned
+  // value.  The fused root has no 16-byte fetch_sub.
   bool root_depart_direct() {
+#if OLL_DWCAS_CAPABLE
+    if (use_dwcas_) return root_depart_cas(kDirectShift);
+#endif
+    const std::uint64_t old =
+        root_.fetch_sub(kDirectOne, std::memory_order_acq_rel);
+    OLL_DCHECK(direct_count(old) > 0);
+    return !closed_empty(old - kDirectOne);
+  }
+
+  // Removes one unit from the direct (kDirectShift) or tree (kTreeShift)
+  // surplus with a CAS loop.  Returns false iff the result is CLOSED with
+  // zero surplus.  Every depart on the fused root, and a leaf's last
+  // departure on either root (see the file comment), comes through here.
+  bool root_depart_cas(std::uint64_t shift) {
     RootView old = root_load(std::memory_order_acquire);
     while (true) {
-      OLL_DCHECK(direct_count(old.word) > 0);
-      const std::uint64_t desired = old.word - kDirectOne;
+      OLL_DCHECK(((old.word >> shift) & kCountMask) > 0);
+      const std::uint64_t desired = old.word - (1ULL << shift);
       if (fault_cas_fail(FaultSite::kCasRetry)) {
         old = root_load(std::memory_order_acquire);
         continue;
       }
-      if (root_cas_weak(old, desired)) {
-        return !(total_count(desired) == 0 && !is_open(desired));
-      }
+      if (root_cas_weak(old, desired)) return !closed_empty(desired);
     }
   }
 
@@ -746,28 +793,13 @@ class CSnzi {
     }
     RootView old = root_load(std::memory_order_acquire);
     while (true) {
-      if (!is_open(old.word) && total_count(old.word) == 0) return false;
+      if (closed_empty(old.word)) return false;
       if (fault_cas_fail(FaultSite::kCasRetry)) {
         old = root_load(std::memory_order_acquire);
         continue;
       }
       if (root_cas_weak(old, old.word + kTreeOne)) return true;
       if (ts != nullptr) bump(ts->root_cas_failures);
-    }
-  }
-
-  bool root_depart_tree() {
-    RootView old = root_load(std::memory_order_acquire);
-    while (true) {
-      OLL_DCHECK(tree_count(old.word) > 0);
-      const std::uint64_t desired = old.word - kTreeOne;
-      if (fault_cas_fail(FaultSite::kCasRetry)) {
-        old = root_load(std::memory_order_acquire);
-        continue;
-      }
-      if (root_cas_weak(old, desired)) {
-        return !(total_count(desired) == 0 && !is_open(desired));
-      }
     }
   }
 
@@ -802,28 +834,19 @@ class CSnzi {
       if (node->parent) {
         tree_depart(node->parent);
       } else {
-        root_depart_tree();
+        root_depart_cas(kTreeShift);
       }
     }
     return true;
   }
 
+  // One fetch_sub; the node's last departure carries on to its parent.
   bool tree_depart(Node* node) {
-    std::uint64_t x = node->cnt.load(std::memory_order_acquire);
-    while (true) {
-      OLL_DCHECK(x > 0);
-      if (fault_cas_fail(FaultSite::kCasRetry)) {
-        x = node->cnt.load(std::memory_order_acquire);
-        continue;
-      }
-      if (node->cnt.compare_exchange_weak(x, x - 1,
-                                            std::memory_order_acq_rel,
-                                            std::memory_order_acquire)) {
-        break;
-      }
-    }
+    const std::uint64_t x = node->cnt.fetch_sub(1, std::memory_order_acq_rel);
+    OLL_DCHECK(x > 0);
     if (x == 1) {
-      return node->parent ? tree_depart(node->parent) : root_depart_tree();
+      return node->parent ? tree_depart(node->parent)
+                          : root_depart_cas(kTreeShift);
     }
     return true;
   }

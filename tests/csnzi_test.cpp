@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "fake_topology.hpp"
 #include "platform/memory.hpp"
 #include "platform/thread_id.hpp"
 #include "snzi/csnzi.hpp"
@@ -307,6 +308,69 @@ TEST(CSnziPolicy, AdaptiveFollowsTreeWhenTreeSurplusVisible) {
   EXPECT_TRUE(c.depart(t1));
 }
 
+// Leaves no two CPUs share never absorb an arrival, so on such a topology
+// adaptive arrivals stay at the root for the instance's life: even with a
+// zero CAS-failure threshold and four contending threads the tree is never
+// allocated and no sticky window is armed.  With SMT pairs two CPUs share
+// each leaf, and the same storm takes the tree and its sticky windows.
+TEST(CSnziPolicy, TopologyDecidesAdaptiveTree) {
+  for (const bool shared : {false, true}) {
+    CSnziOptions o;
+    o.topology = shared ? &test::shared_leaf_topology()
+                        : &test::private_leaf_topology();
+    o.root_cas_fail_threshold = 0;
+    C c(o);
+    EXPECT_EQ(c.options().policy,
+              shared ? ArrivalPolicy::kAdaptive : ArrivalPolicy::kAlwaysRoot);
+    std::vector<std::thread> threads;
+    for (std::uint32_t i = 0; i < 4; ++i) {
+      threads.emplace_back([&c, i, shared] {
+        ScopedThreadIndex idx(i);
+        for (int j = 0; j < 2000; ++j) {
+          auto t = c.arrive();
+          ASSERT_TRUE(t.arrived());
+          ASSERT_EQ(t.is_direct(), !shared);
+          c.depart(t);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    EXPECT_EQ(c.tree_allocated(), shared);
+    const CSnziStatsSnapshot s = c.stats();
+    EXPECT_EQ(s.arrivals(), 8000u);
+    EXPECT_EQ(s.direct_arrivals, shared ? 0u : 8000u);
+    if (shared) {
+      EXPECT_GT(s.sticky_arrivals, 0u);
+    } else {
+      EXPECT_EQ(s.sticky_arrivals, 0u);
+    }
+  }
+}
+
+// Only kAdaptive follows the topology: explicit policies and the explicit
+// leaf layouts (kPerThread, kStaticShift) behave the same on private leaves.
+TEST(CSnziPolicy, ExplicitChoicesIgnorePrivateLeaves) {
+  CSnziOptions tree = tree_only();
+  tree.topology = &test::private_leaf_topology();
+  C t(tree);
+  EXPECT_EQ(t.options().policy, ArrivalPolicy::kAlwaysTree);
+  auto a = t.arrive();
+  EXPECT_FALSE(a.is_direct());
+  EXPECT_TRUE(t.depart(a));
+
+  for (LeafMapping m : {LeafMapping::kPerThread, LeafMapping::kStaticShift}) {
+    CSnziOptions o;
+    o.topology = &test::private_leaf_topology();
+    o.topology_mapping = m;
+    o.root_cas_fail_threshold = 0;
+    C c(o);
+    EXPECT_EQ(c.options().policy, ArrivalPolicy::kAdaptive);
+    auto b = c.arrive();
+    EXPECT_FALSE(b.is_direct()) << leaf_mapping_name(m);
+    EXPECT_TRUE(c.depart(b));
+  }
+}
+
 // --- concurrent smoke (full stress lives in stress tests) --------------------
 
 TEST(CSnziConcurrent, ManyThreadsArriveDepart) {
@@ -333,9 +397,11 @@ TEST(CSnziConcurrent, ManyThreadsArriveDepart) {
 
 // Deterministic tree usage under kAdaptive: a zero CAS-failure threshold
 // makes should_arrive_at_tree true on the first attempt, and (unlike
-// kAlwaysTree) keeps the sticky fast path eligible.
+// kAlwaysTree) keeps the sticky fast path eligible.  The shared-leaf
+// topology keeps the tree in play on hosts whose own leaves are private.
 CSnziOptions sticky_tree(std::uint32_t window, std::uint32_t decay) {
   CSnziOptions o;
+  o.topology = &test::shared_leaf_topology();
   o.root_cas_fail_threshold = 0;
   o.sticky_arrivals = window;
   o.sticky_decay_propagations = decay;

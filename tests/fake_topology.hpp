@@ -6,6 +6,10 @@
 // /sys/devices/system/cpu; point Topology::from_sysfs at path().  Each
 // fixture instance owns a unique directory and removes it on destruction,
 // so tests can run in parallel within one binary.
+//
+// shared_leaf_topology() / private_leaf_topology() are synthetic shapes that
+// pin the C-SNZI adaptive policy's outcome on any host, which would
+// otherwise follow Topology::system().
 #pragma once
 
 #include <gtest/gtest.h>
@@ -15,8 +19,24 @@
 #include <fstream>
 #include <string>
 
+#include "platform/topology.hpp"
+
 namespace oll {
 namespace test {
+
+// Four CPUs in SMT pairs: two CPUs share each kSmtCluster leaf, so the tree
+// can absorb arrivals and the adaptive policy keeps it.
+inline const Topology& shared_leaf_topology() {
+  static const Topology t = Topology::synthetic(4, 2, 4, 4);
+  return t;
+}
+
+// Four CPUs without SMT: every kSmtCluster leaf is private, so the adaptive
+// policy arrives at the root only.
+inline const Topology& private_leaf_topology() {
+  static const Topology t = Topology::synthetic(4, 1, 4, 4);
+  return t;
+}
 
 class FakeSysfs {
  public:

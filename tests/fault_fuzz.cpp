@@ -16,9 +16,10 @@
 //
 // Flags (comma-separated lists sweep the cross product):
 //   --locks=a,b       lock kinds (default goll,foll,roll,bravo-goll,
-//                     opt-goll; opt-* kinds add an optimistic read style
-//                     with a torn-payload oracle plus a planted-writer
-//                     check that validate() never lies under injection)
+//                     opt-goll,mcs-rw; opt-* kinds add an optimistic read
+//                     style with a torn-payload oracle plus a
+//                     planted-writer check that validate() never lies
+//                     under injection)
 //   --profiles=a,b    fault profiles (default jitter,cas,preempt,chaos)
 //   --seeds=a,b       injection seeds (default 1,2,42)
 //   --read_pcts=a,b   read percentages (default 0,50,95)
@@ -342,8 +343,8 @@ std::vector<std::string> split_list(const std::string& s) {
 
 int main(int argc, char** argv) {
   oll::bench::Flags flags(argc, argv);
-  const auto lock_tokens =
-      split_list(flags.get("locks", "goll,foll,roll,bravo-goll,opt-goll"));
+  const auto lock_tokens = split_list(
+      flags.get("locks", "goll,foll,roll,bravo-goll,opt-goll,mcs-rw"));
   const auto profiles =
       split_list(flags.get("profiles", "jitter,cas,preempt,chaos"));
   const auto seed_tokens = split_list(flags.get("seeds", "1,2,42"));

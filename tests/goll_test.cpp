@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <thread>
 #include <vector>
 
@@ -154,12 +155,22 @@ TEST(Goll, WriterHandsOffToReaderGroup) {
       int p = peak.load();
       while (now > p && !peak.compare_exchange_weak(p, now)) {
       }
-      std::this_thread::yield();
+      // Hold the lock until a second reader is inside too (bounded), so the
+      // check does not depend on the group being scheduled together.  A
+      // group handoff lets the second reader in while we hold; readers
+      // granted one at a time could not, and the assertion below fails.
+      const auto deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (peak.load() < 2 && std::chrono::steady_clock::now() < deadline) {
+        std::this_thread::yield();
+      }
       in.fetch_sub(1);
       lock.unlock_shared();
     });
   }
-  for (int i = 0; i < 2000; ++i) std::this_thread::yield();
+  // Release only once every reader is queued behind the writer, so the
+  // whole group takes part in the handoff.
+  spin_until([&] { return lock.stats().read_queued == kReaders; });
   lock.unlock();  // hands over to the whole group at once
   for (auto& th : readers) th.join();
   // All queued readers were granted as one group, so at some point more

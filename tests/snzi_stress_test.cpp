@@ -11,6 +11,7 @@
 #include <tuple>
 #include <vector>
 
+#include "fake_topology.hpp"
 #include "platform/memory.hpp"
 #include "platform/rng.hpp"
 #include "platform/spin.hpp"
@@ -29,6 +30,9 @@ CSnziOptions make_opts(const Param& p) {
   o.levels = std::get<2>(p);
   o.fanout = 4;
   o.root_cas_fail_threshold = 1;
+  // Shared leaves keep the adaptive cases mixing root and tree arrivals on
+  // every host (on private leaves kAdaptive would reduce to kAlwaysRoot).
+  o.topology = &test::shared_leaf_topology();
   return o;
 }
 
@@ -255,6 +259,75 @@ TEST(CSnziStickyStress, CloseDrainsUnderSustainedStickyArrivals) {
         << "false-returning departure iff it was closed nonempty";
   }
 }
+
+// The handoff contract of the single-RMW departs: with arrivals and
+// departures churning against close(), exactly one departure reports the
+// closed, drained state iff close() found a surplus.  Run on both root
+// widths (the pointer-width root departs with fetch_sub, the fused root
+// with a CAS loop) and through both root counters.
+class CSnziCloseStorm
+    : public ::testing::TestWithParam<std::tuple<bool, ArrivalPolicy>> {};
+
+TEST_P(CSnziCloseStorm, ExactlyOneLastDepartureUnderChurn) {
+  const auto [dwcas, policy] = GetParam();
+  for (int round = 0; round < 30; ++round) {
+    CSnziOptions o;
+    o.dwcas_root = dwcas;
+    o.policy = policy;
+    o.leaves = 4;
+    o.topology = &test::shared_leaf_topology();
+    o.root_cas_fail_threshold = 1;
+    CSnzi<> c(o);
+    std::atomic<bool> stop{false};
+    std::atomic<int> arrivals{0};
+    std::atomic<int> last_departures{0};
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&, t] {
+        ScopedThreadIndex idx(static_cast<std::uint32_t>(t));
+        Xoshiro256ss rng(static_cast<std::uint64_t>(round) * 17 + t + 1);
+        std::vector<CSnzi<>::Ticket> held;
+        while (!stop.load(std::memory_order_acquire) || !held.empty()) {
+          if (!stop.load(std::memory_order_acquire) && held.size() < 3 &&
+              rng.bernoulli(1, 2)) {
+            auto ticket = c.arrive();
+            if (ticket.arrived()) {
+              held.push_back(ticket);
+              arrivals.fetch_add(1, std::memory_order_relaxed);
+            }
+          } else if (!held.empty()) {
+            if (!c.depart(held.back())) last_departures.fetch_add(1);
+            held.pop_back();
+          }
+        }
+      });
+    }
+    spin_until([&] { return arrivals.load() >= 64; });
+    const bool was_empty = c.close();
+    stop.store(true, std::memory_order_release);
+    for (auto& th : threads) th.join();
+    EXPECT_FALSE(c.query().open);
+    EXPECT_FALSE(c.query().nonzero) << "round " << round;
+    EXPECT_EQ(CSnzi<>::total_count(c.root_word()), 0u) << "round " << round;
+    EXPECT_EQ(last_departures.load(), was_empty ? 0 : 1)
+        << "round " << round << ": a closed C-SNZI must yield exactly one "
+        << "false-returning departure iff it was closed nonempty";
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    RootWidths, CSnziCloseStorm,
+    ::testing::Combine(::testing::Bool(),
+                       ::testing::Values(ArrivalPolicy::kAdaptive,
+                                         ArrivalPolicy::kAlwaysRoot,
+                                         ArrivalPolicy::kAlwaysTree)),
+    [](const auto& info) {
+      const ArrivalPolicy p = std::get<1>(info.param);
+      return std::string(std::get<0>(info.param) ? "dwcas_" : "word_") +
+             (p == ArrivalPolicy::kAdaptive     ? "adaptive"
+              : p == ArrivalPolicy::kAlwaysRoot ? "root"
+                                                : "tree");
+    });
 
 std::string param_name(const ::testing::TestParamInfo<Param>& info) {
   const auto [policy, leaves, levels] = info.param;

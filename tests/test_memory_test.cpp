@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "alloc_counter.hpp"
+#include "fake_topology.hpp"
 #include "locks/lock_stats.hpp"
 #include "locks/per_thread.hpp"
 #include "platform/lock_registry.hpp"
@@ -210,6 +211,7 @@ TEST(PerThreadSlots, CSnziDropsStickyStateOfRecycledIndex) {
   // inherited sticky window against the index epoch: the successor's first
   // arrival re-reads the root.
   CSnziOptions o;
+  o.topology = &test::shared_leaf_topology();  // the tree, on any host
   o.root_cas_fail_threshold = 0;  // always arrive through the tree
   o.sticky_arrivals = 8;
   o.sticky_decay_propagations = 8;

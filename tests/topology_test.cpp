@@ -196,6 +196,45 @@ TEST(LeafMapTest, PlacementPolicyWithoutTopologyDegrades) {
   EXPECT_EQ(m.leaf_of(9), 1u);  // 9 & 7
 }
 
+// private_leaves() must agree with the brute-force definition: a
+// placement-derived mapping where no two CPUs land on the same leaf.
+bool brute_force_private(const Topology& t, const LeafMap& m) {
+  std::vector<bool> used(64, false);
+  for (std::uint32_t cpu = 0; cpu < t.cpu_count(); ++cpu) {
+    if (used[m.leaf_of(cpu)]) return false;
+    used[m.leaf_of(cpu)] = true;
+  }
+  return true;
+}
+
+TEST(LeafMapTest, PrivateLeavesMatchesBruteForce) {
+  const LeafMapping placed[] = {LeafMapping::kSmtCluster,
+                                LeafMapping::kLlcCluster,
+                                LeafMapping::kNumaCluster};
+  const Topology shapes[] = {
+      Topology::synthetic(4, 1, 4, 4),    // no SMT: private SMT leaves
+      Topology::synthetic(4, 2, 4, 4),    // SMT pairs share a leaf
+      Topology::synthetic(8, 1, 1, 8),    // one cpu per LLC
+      Topology::synthetic(64, 1, 64, 64),
+      Topology::synthetic(128, 1, 128, 128),  // more cores than leaves
+      Topology::synthetic(1, 1, 1, 1),
+  };
+  for (const Topology& t : shapes) {
+    for (std::uint32_t leaves : {1u, 4u, 64u}) {
+      for (LeafMapping m : placed) {
+        const LeafMap map(&t, m, leaves, 0);
+        EXPECT_EQ(map.private_leaves(), brute_force_private(t, map))
+            << t.cpu_count() << " cpus, " << t.smt_groups() << " cores, "
+            << leaves << " leaves, " << leaf_mapping_name(m);
+      }
+    }
+  }
+  // The explicit layouts never count as private, whatever they do.
+  const Topology t = Topology::synthetic(4, 1, 4, 4);
+  EXPECT_FALSE(LeafMap(&t, LeafMapping::kPerThread, 64, 0).private_leaves());
+  EXPECT_FALSE(LeafMap(&t, LeafMapping::kStaticShift, 64, 1).private_leaves());
+}
+
 TEST(LeafMappingNames, RoundTrip) {
   for (LeafMapping m :
        {LeafMapping::kAuto, LeafMapping::kStaticShift, LeafMapping::kPerThread,
