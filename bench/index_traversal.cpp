@@ -38,8 +38,6 @@
 // plus the telemetry set (--telemetry_interval_ms / --metrics_out /
 // --metrics_port, bench_common.hpp).  The cs_work / timeout_ns / watchdog /
 // pin sweep flags have no meaning for this workload and are ignored.
-#include <pthread.h>
-#include <sched.h>
 
 #include <atomic>
 #include <cstdint>
@@ -52,6 +50,7 @@
 
 #include "bench_common.hpp"
 #include "core/factory.hpp"
+#include "harness/sim_sched.hpp"
 #include "harness/trace_export.hpp"
 #include "platform/fault.hpp"
 #include "platform/lock_registry.hpp"
@@ -323,17 +322,15 @@ CellResult run_cell(oll::LockKind kind, const TreeShape& shape,
   threads.reserve(cfg.threads);
   std::atomic<std::uint32_t> ready{0};
   std::atomic<bool> go{false};
+  // One CPU, round-robin, for this thread and every sim worker
+  // (harness/sim_sched.hpp).
+  oll::bench::SimSchedScope sim_sched(simulated);
   for (std::uint32_t w = 0; w < cfg.threads; ++w) {
     threads.emplace_back([&, w] {
       oll::ScopedThreadIndex index(w);
       std::unique_ptr<oll::sim::ThreadGuard> guard;
       if (simulated) {
         guard = std::make_unique<oll::sim::ThreadGuard>(*machine, w);
-        // SCHED_RR makes sched_yield a true rotation so sim workers
-        // genuinely interleave (see driver.cpp); fall back silently.
-        sched_param prio{};
-        prio.sched_priority = 1;
-        (void)pthread_setschedparam(pthread_self(), SCHED_RR, &prio);
       }
       ready.fetch_add(1, std::memory_order_acq_rel);
       oll::spin_until([&] { return go.load(std::memory_order_acquire); });

@@ -30,6 +30,7 @@
 
 #include "bench_common.hpp"
 #include "core/factory.hpp"
+#include "harness/sim_sched.hpp"
 #include "harness/trace_export.hpp"
 #include "harness/watchdog.hpp"
 #include "platform/rng.hpp"
@@ -78,6 +79,9 @@ Samples run_lock(oll::LockKind kind, std::uint32_t threads,
   std::atomic<std::uint32_t> ready{0};
   std::atomic<bool> go{false};
   std::vector<std::thread> workers;
+  // One CPU, round-robin, for this thread and every sim worker
+  // (harness/sim_sched.hpp).
+  oll::bench::SimSchedScope sim_sched(true);
   for (std::uint32_t w = 0; w < threads; ++w) {
     workers.emplace_back([&, w] {
       oll::ScopedThreadIndex index(w);

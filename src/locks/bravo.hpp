@@ -38,6 +38,7 @@
 // forwarded — a bias-path reader holds no underlying lock to upgrade.
 #pragma once
 
+#include <algorithm>
 #include <chrono>
 #include <concepts>
 #include <cstdint>
@@ -246,11 +247,39 @@ class Bravo {
   // --- introspection ------------------------------------------------------
 
   // read_bias counts bias-path reads (no underlying-lock RMW at all);
-  // read_fast counts reads that fell through to the underlying lock;
-  // bias_revoke counts writer-side revocation scans.  write_fast counts all
-  // writer acquisitions (the wrapper cannot see whether the underlying lock
-  // queued).  Exact at quiescence.
-  LockStatsSnapshot stats() const { return stats_.snapshot(); }
+  // bias_revoke counts writer-side revocation scans.  The wrapper counts
+  // every acquisition that went through the underlying lock as read_fast /
+  // write_fast; when the underlying lock keeps LockStats, the ones it
+  // queued move to read_queued / write_queued, so reads()/writes() still
+  // count each acquisition once.  The underlying lock's other slow-path
+  // fields (metalock and wake handoffs, park counters, C-SNZI arrivals) are
+  // added as they are; its fast counters, timeouts and latency histograms
+  // are not (the wrapper keeps its own).  Exact at quiescence.
+  LockStatsSnapshot stats() const {
+    LockStatsSnapshot s = stats_.snapshot();
+    if constexpr (requires(const LockT& l) {
+                    { l.stats() } -> std::convertible_to<LockStatsSnapshot>;
+                  }) {
+      const LockStatsSnapshot u = lock_.stats();
+      // Clamped: mid-run the underlying count can run ahead of ours (a
+      // thread between its underlying acquire and our count).
+      s.read_fast -= std::min(s.read_fast, u.read_queued);
+      s.read_queued += u.read_queued;
+      s.write_fast -= std::min(s.write_fast, u.write_queued);
+      s.write_queued += u.write_queued;
+      s.csnzi += u.csnzi;
+      s.meta_handoffs += u.meta_handoffs;
+      s.meta_cohort_hits += u.meta_cohort_hits;
+      s.meta_cross_domain += u.meta_cross_domain;
+      s.wake_cohort_hits += u.wake_cohort_hits;
+      s.wake_cross_domain += u.wake_cross_domain;
+      s.parks += u.parks;
+      s.unparks += u.unparks;
+      s.spurious_wakes += u.spurious_wakes;
+      s.park_wait += u.park_wait;
+    }
+    return s;
+  }
 
   bool read_biased() const {
     return rbias_.load(std::memory_order_acquire) != 0;

@@ -28,8 +28,15 @@
 // publishing its count — a Dekker pair (seq_cst fences between each side's
 // store and load) guaranteeing at least one of them observes the other and
 // completes the handoff (rescue_missed_open / the enqueue-undo paths).
-// metalock=tatas keeps the seed release protocol bit-for-bit as the
-// ablation baseline.
+// On the same path, a thread that misses its fast path spins a bounded
+// budget on the C-SNZI root for the holder's release before it queues
+// (spin_for_release): a reader retries its arrival once the root reopens,
+// a writer re-tries CloseIfEmpty whenever the root reads open and empty.
+// A writer stops spinning as soon as readers are inside or anyone is
+// queued, so it never overtakes a queued waiter; the budget bounds how
+// long it can lose races before it takes its FIFO place in the queue.
+// metalock=tatas keeps the seed protocol bit-for-bit (no eliding release,
+// no spin) as the ablation baseline.
 //
 // Extensions implemented per §3.2.1: try_upgrade() (read -> write when sole
 // holder, using the dual root counter trade) and downgrade() (write -> read).
@@ -445,8 +452,9 @@ class GollLock {
   // traces show the waiting interval and the writer-wait histogram measures
   // it (the bound PR 2's sticky re-arm budget promises).
   void lock_impl() {
-    if (csnzi_.close_if_empty()) {
-      stats_.count_write_fast();  // uncontended fast path
+    if (csnzi_.close_if_empty() ||
+        (fast_release_ && spin_for_release(ReqKind::kWriter))) {
+      stats_.count_write_fast();  // acquired without queueing
       return;
     }
     stats_.count_write_queued();
@@ -492,7 +500,7 @@ class GollLock {
         stats_.count_read_fast();  // no queueing: one C-SNZI arrival
         return;
       }
-      if (fast_release_ && wait_for_reopen()) {
+      if (fast_release_ && spin_for_release(ReqKind::kReader)) {
         continue;  // the write epoch ended; retry the arrival fast path
       }
       typename WaitQueue<M>::WaitNode waiter;
@@ -530,7 +538,8 @@ class GollLock {
   // Timed WriterLock (see the public comment): fast path, enqueue with the
   // full Dekker publication, deadline-bounded wait, abandon-or-consume.
   bool timed_lock_impl(std::chrono::steady_clock::time_point deadline) {
-    if (csnzi_.close_if_empty()) {
+    if (csnzi_.close_if_empty() ||
+        (fast_release_ && spin_for_release(ReqKind::kWriter, deadline))) {
       stats_.count_write_fast();
       return true;
     }
@@ -609,7 +618,7 @@ class GollLock {
         stats_.count_read_timeout();
         return false;
       }
-      if (fast_release_ && wait_for_reopen()) {
+      if (fast_release_ && spin_for_release(ReqKind::kReader, deadline)) {
         continue;  // the write epoch ended; retry the arrival fast path
       }
       typename WaitQueue<M>::WaitNode waiter;
@@ -665,20 +674,45 @@ class GollLock {
     }
   }
 
-  // Bounded spin on the C-SNZI root waiting for the write epoch to end
-  // (metalock != tatas): a queued reader costs two metalock round trips
-  // plus a wake handoff, so a reader that merely caught a short writer
-  // critical section spins for the reopen instead — off the metalock, off
-  // the wait queue, and invalidation-free (the root line is only re-read
-  // when it actually changes).  While *writers* still wait, the C-SNZI
-  // stays closed, so spinners cannot overtake queued writers; once the
-  // budget expires the caller falls back to the queue, preserving liveness
-  // under writer bursts and the coalescing fairness policy.
-  bool wait_for_reopen() {
+  // Spin-for-release (metalock != tatas; DESIGN.md §10): a queued waiter
+  // costs two metalock round trips plus a wake handoff, several times a
+  // short writer critical section, so a thread that merely caught one
+  // spins on the C-SNZI root for the release instead — off the metalock,
+  // off the wait queue, and invalidation-free (the root line is re-read
+  // only when it changes).  One loop for both sides:
+  //   reader  returns true once the root reads open; the caller retries
+  //           its arrival.  While writers wait the C-SNZI stays closed, so
+  //           a reader cannot overtake a queued writer.
+  //   writer  re-tries the fast path's CloseIfEmpty whenever the root reads
+  //           open with zero surplus and returns true once it closed it
+  //           (the caller owns the lock).  It gives up at once when the
+  //           root is open with readers inside (it must close against the
+  //           reader stream, which only the queued path does) or when
+  //           anyone is queued (has_waiters_): with waiters the release
+  //           hands off FIFO, and a spinner must not overtake them.
+  // Both root and flag reads are hints (§12): the only acquisition is the
+  // CloseIfEmpty CAS, and a writer that wins it as a waiter enqueues
+  // releases through unlock()'s Dekker pair like any fast-path writer.
+  // The spin ends after kReopenSpinBudget SpinWait steps (which yield once
+  // past the pause limit, so oversubscribed spinners give way) or at the
+  // deadline; the caller then queues, so no spinner waits unboundedly.
+  bool spin_for_release(
+      ReqKind kind, std::chrono::steady_clock::time_point deadline =
+                        std::chrono::steady_clock::time_point::max()) {
+    const bool timed = deadline != std::chrono::steady_clock::time_point::max();
     SpinWait w;
     for (std::uint32_t i = 0; i < kReopenSpinBudget; ++i) {
-      if (csnzi_.query().open) return true;
-      fault_perturb(FaultSite::kSpinWait);
+      const SnziQuery q = csnzi_.query();
+      if (kind == ReqKind::kReader) {
+        if (q.open) return true;
+      } else {
+        if (has_waiters_.load(std::memory_order_relaxed) != 0) return false;
+        if (q.open) {
+          if (q.nonzero) return false;
+          if (csnzi_.close_if_empty()) return true;
+        }
+      }
+      if (timed && std::chrono::steady_clock::now() >= deadline) return false;
       w.pause();
     }
     return false;
@@ -753,7 +787,7 @@ class GollLock {
     Ticket ticket{};
   };
 
-  // Reader spin-for-reopen budget (pause iterations) before queueing.
+  // Spin-for-release budget (SpinWait steps) before queueing.
   static constexpr std::uint32_t kReopenSpinBudget = 256;
   // Delegating writer's wait budget (pause iterations on its own slot,
   // with a close attempt every 16th) before retract-and-queue.  Generous:

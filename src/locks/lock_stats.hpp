@@ -43,7 +43,7 @@ namespace oll {
 struct LockStatsSnapshot {
   std::uint64_t read_fast = 0;    // reader acquired without queueing
   std::uint64_t read_queued = 0;  // reader slept in the queue / enqueued node
-  std::uint64_t write_fast = 0;   // writer acquired on the fast path
+  std::uint64_t write_fast = 0;   // writer acquired without queueing
   std::uint64_t write_queued = 0; // writer queued / waited for readers
   std::uint64_t read_bias = 0;    // reader took the BRAVO bias fast path
   std::uint64_t bias_revoke = 0;  // writer revoked reader bias

@@ -13,6 +13,7 @@
 #include "locks/bravo.hpp"
 #include "locks/central_rwlock.hpp"
 #include "locks/goll_lock.hpp"
+#include "platform/spin.hpp"
 #include "platform/thread_id.hpp"
 #include "platform/visible_readers.hpp"
 #include "lock_test_utils.hpp"
@@ -261,6 +262,46 @@ TEST(Bravo, TimedLockRespectsDeadlineUnderReader) {
   lock.unlock_shared();
   ASSERT_TRUE(lock.try_lock_for(100ms));
   lock.unlock();
+}
+
+// --- underlying slow-path counters ----------------------------------------
+
+TEST(Bravo, StatsIncludeUnderlyingQueueing) {
+  // A write hold revokes the bias, so a reader falls through to the
+  // underlying GOLL and queues there, as does a writer behind a long hold.
+  // The wrapper's stats() must show both as queued, not fast, and carry
+  // the underlying lock's handoff and C-SNZI counters.
+  BravoGoll lock;
+  lock.lock();
+  std::thread reader([&] {
+    lock.lock_shared();
+    lock.unlock_shared();
+  });
+  spin_until([&] { return lock.underlying().stats().read_queued == 1; });
+  EXPECT_EQ(lock.stats().read_queued, 1u);
+  std::thread writer([&] {
+    lock.lock();
+    lock.unlock();
+  });
+  spin_until([&] { return lock.underlying().stats().write_queued == 1; });
+  EXPECT_EQ(lock.stats().write_queued, 1u);
+  lock.unlock();
+  reader.join();
+  writer.join();
+  const LockStatsSnapshot s = lock.stats();
+  const LockStatsSnapshot u = lock.underlying().stats();
+  EXPECT_EQ(s.read_bias, 0u);
+  EXPECT_EQ(s.read_fast, 0u);
+  EXPECT_EQ(s.read_queued, 1u);
+  EXPECT_EQ(s.reads(), 1u);
+  EXPECT_EQ(s.write_fast, 1u);
+  EXPECT_EQ(s.write_queued, 1u);
+  EXPECT_EQ(s.writes(), 2u);  // each acquisition counted once
+  EXPECT_EQ(s.meta_handoffs, u.meta_handoffs);
+  EXPECT_EQ(s.wake_cohort_hits, u.wake_cohort_hits);
+  EXPECT_EQ(s.wake_cross_domain, u.wake_cross_domain);
+  EXPECT_EQ(s.csnzi.root_reads, u.csnzi.root_reads);
+  EXPECT_GT(s.csnzi.root_reads, 0u);  // the reader's failed arrival
 }
 
 }  // namespace

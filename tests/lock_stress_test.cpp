@@ -18,6 +18,7 @@
 
 #include "core/factory.hpp"
 #include "harness/driver.hpp"
+#include "harness/sim_sched.hpp"
 #include "locks/goll_lock.hpp"
 #include "locks/mcs_rwlock.hpp"
 #include "platform/thread_id.hpp"
@@ -242,6 +243,8 @@ TEST_P(SimLockStress, SimExclusionOracle) {
   ExclusionChecker checker;
   std::vector<std::thread> workers;
   std::atomic<std::uint64_t> writes{0};
+  // One CPU, round-robin, as the harness runs every sim workload.
+  bench::SimSchedScope sim_sched(true);
   for (unsigned t = 0; t < 6; ++t) {
     workers.emplace_back([&, t, rp = read_pct] {
       ScopedThreadIndex idx(t);

@@ -5,6 +5,7 @@
 
 #include <thread>
 
+#include "harness/sim_sched.hpp"
 #include "sim/atomic.hpp"
 #include "sim/context.hpp"
 #include "sim/machine.hpp"
@@ -18,6 +19,7 @@ namespace {
 template <typename F>
 std::uint64_t as_sim_thread(Machine& m, std::uint32_t tid, F&& f) {
   std::uint64_t clock = 0;
+  bench::SimSchedScope sim_sched(true);
   std::thread t([&] {
     ThreadGuard guard(m, tid);
     f(guard.context());
